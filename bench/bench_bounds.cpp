@@ -3,6 +3,7 @@
 // Goodness") can be far from real throughput, while the path-length bound
 // tracks it tightly.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "flow/bounds.hpp"
@@ -29,38 +30,54 @@ struct Entry {
   topo::Topology t;
 };
 
+// Exits non-zero unless every row was computed: a failed point carries
+// no values and would otherwise print as a quiet row of zeros.
+void require_ok(const std::vector<core::JournalRecord>& rows) {
+  std::size_t failed = 0;
+  for (const auto& r : rows) {
+    if (r.ok()) continue;
+    std::fprintf(stderr, "error: point %s failed: %s: %s\n", r.key.c_str(),
+                 status_code_name(r.code), r.message.c_str());
+    ++failed;
+  }
+  if (failed > 0) std::exit(1);
+}
+
 // --bracket-only: skip the GK solves entirely and print the cheap
 // cut/dual bracket (flow/bracket.hpp) for each family — the bound-only
 // screening mode that stays usable at scales the FPTAS cannot touch.
-int run_bracket_only(const std::vector<Entry>& entries, int threads) {
-  struct Row {
-    flow::ThroughputBracket br;
-    double bracket_ms = 0.0;
-  };
-  const auto rows =
-      bench::run_grid(entries.size(), threads, [&](std::size_t i) {
+int run_bracket_only(const std::vector<Entry>& entries,
+                     const sweep::GridPolicy& policy) {
+  const auto rows = bench::grid_records(
+      policy, sweep::run_grid(entries.size(), policy, [&](std::size_t i) {
         const auto& e = entries[i];
         const auto ct = topo::csr_from(e.t);
         const auto active = flow::pick_active_racks_csr(
             ct, static_cast<int>(ct.tors().size()), 1);
         const auto view = flow::longest_matching_view(ct, active);
         const double t0 = bench::monotonic_ns();
-        Row r;
-        r.br = flow::throughput_bracket(ct, view);
-        r.bracket_ms = (bench::monotonic_ns() - t0) / 1e6;
-        return r;
-      });
+        const auto br = flow::throughput_bracket(ct, view);
+        core::JournalRecord rec;
+        rec.values = {{"lower", br.lower},
+                      {"upper", br.upper},
+                      {"node_cut", br.upper_node_cut},
+                      {"spectral_cut", br.upper_spectral_cut},
+                      {"pathlen", br.upper_path_length},
+                      {"ms", (bench::monotonic_ns() - t0) / 1e6}};
+        return rec;
+      }));
+  require_ok(rows);
 
   TextTable t({"topology", "lower", "upper", "node_cut", "spectral_cut",
                "pathlen", "ms"});
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& r = rows[i];
-    t.add_row({entries[i].label, TextTable::fmt(r.br.lower, 3),
-               TextTable::fmt(r.br.upper, 3),
-               TextTable::fmt(r.br.upper_node_cut, 3),
-               TextTable::fmt(r.br.upper_spectral_cut, 3),
-               TextTable::fmt(r.br.upper_path_length, 3),
-               TextTable::fmt(r.bracket_ms, 2)});
+    t.add_row({entries[i].label, TextTable::fmt(r.value("lower"), 3),
+               TextTable::fmt(r.value("upper"), 3),
+               TextTable::fmt(r.value("node_cut"), 3),
+               TextTable::fmt(r.value("spectral_cut"), 3),
+               TextTable::fmt(r.value("pathlen"), 3),
+               TextTable::fmt(r.value("ms"), 2)});
   }
   t.print();
   std::printf(
@@ -76,7 +93,12 @@ int run_bracket_only(const std::vector<Entry>& entries, int threads) {
 int main(int argc, char** argv) {
   bench::banner("Bounds validation",
                 "measured throughput vs path-length bound vs bisection proxy");
-  const int threads = bench::parse_threads(argc, argv);
+  bool bracket_only = false;
+  for (int i = 1; i < argc; ++i) {
+    bracket_only |= std::strcmp(argv[i], "--bracket-only") == 0;
+  }
+  const auto policy =
+      bench::grid_policy(argc, argv, bracket_only ? "bracket" : "bounds");
 
   std::vector<Entry> entries;
   entries.push_back({"fat-tree k=8", topo::fat_tree(8).topo});
@@ -86,36 +108,32 @@ int main(int argc, char** argv) {
   entries.push_back({"longhop 64x7", topo::long_hop(6, 1, 6)});
   entries.push_back({"dragonfly a4h2", topo::dragonfly(4, 2, 3).topo});
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bracket-only") == 0) {
-      return run_bracket_only(entries, threads);
-    }
-  }
+  if (bracket_only) return run_bracket_only(entries, policy);
 
-  struct Row {
-    double measured = 0.0;
-    double bound = 0.0;
-    double bisection = 0.0;
-  };
-  const auto rows =
-      bench::run_grid(entries.size(), threads, [&](std::size_t i) {
+  const auto rows = bench::grid_records(
+      policy, sweep::run_grid(entries.size(), policy, [&](std::size_t i) {
         const auto& e = entries[i];
         const auto active = flow::pick_active_racks(
             e.t, static_cast<int>(e.t.tors().size()), 1);
         const auto tm = flow::longest_matching_tm(e.t, active);
-        return Row{flow::per_server_throughput(e.t, tm, {0.06}),
-                   flow::path_length_upper_bound(e.t, tm),
-                   flow::bisection_per_server(e.t)};
-      });
+        core::JournalRecord rec;
+        rec.values = {
+            {"measured", flow::per_server_throughput(e.t, tm, {0.06})},
+            {"bound", flow::path_length_upper_bound(e.t, tm)},
+            {"bisection", flow::bisection_per_server(e.t)}};
+        return rec;
+      }));
+  require_ok(rows);
 
   TextTable t({"topology", "measured_tput", "pathlen_bound",
                "bound/measured", "bisection_per_srv"});
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& r = rows[i];
-    t.add_row({entries[i].label, TextTable::fmt(r.measured, 3),
-               TextTable::fmt(r.bound, 3),
-               TextTable::fmt(r.measured > 0 ? r.bound / r.measured : 0.0, 2),
-               TextTable::fmt(r.bisection, 3)});
+    const double measured = rows[i].value("measured");
+    const double bound = rows[i].value("bound");
+    t.add_row({entries[i].label, TextTable::fmt(measured, 3),
+               TextTable::fmt(bound, 3),
+               TextTable::fmt(measured > 0 ? bound / measured : 0.0, 2),
+               TextTable::fmt(rows[i].value("bisection"), 3)});
   }
   t.print();
   std::printf(

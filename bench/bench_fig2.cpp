@@ -18,15 +18,10 @@ using namespace flexnets;
 int main(int argc, char** argv) {
   bench::banner("Fig 2",
                 "throughput proportionality vs fat-tree inflexibility");
-  const int threads = bench::parse_threads(argc, argv);
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  const auto shard = bench::parse_shard_flags(argc, argv);
+  const auto policy = bench::grid_policy(argc, argv, "fig2");
   std::string json_path;
   const bool json = bench::parse_json_flag(argc, argv, "BENCH_FIG2.json",
                                            &json_path);
-  bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (shard.worker_grid.empty()) bench::init_resilient_state(flags, &state);
 
   // Section 2.1's running example: a k=64 fat-tree oversubscribed to 50%.
   const flow::FatTreeModel ft{64, 0.5};
@@ -41,13 +36,13 @@ int main(int argc, char** argv) {
   for (double x = 0.01; x <= 1.0 + 1e-9; x += (x < 0.1 ? 0.01 : 0.05)) {
     xs.push_back(x);
   }
-  const auto records = bench::run_grid_resilient_sharded(
-      argc, argv, xs.size(), threads, "fig2", &state, flags, shard,
-      [&](std::size_t i) {
-        return std::vector<std::pair<std::string, double>>{
-            {"throughput_proportional", flow::tp_curve(alpha, xs[i])},
-            {"fat_tree", ft.throughput(xs[i])}};
-      });
+  const auto records = bench::grid_records(
+      policy, sweep::run_grid(xs.size(), policy, [&](std::size_t i) {
+        core::JournalRecord rec;
+        rec.values = {{"throughput_proportional", flow::tp_curve(alpha, xs[i])},
+                      {"fat_tree", ft.throughput(xs[i])}};
+        return rec;
+      }));
 
   TextTable t({"fraction_x", "throughput_proportional", "fat_tree"});
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -61,8 +56,7 @@ int main(int argc, char** argv) {
       "stays at alpha until x = beta and reaches line rate only at x = "
       "alpha*beta = %.4f.\n\n",
       alpha, alpha * ft.beta());
-  bench::print_digest_line("fig2", bench::grid_digest(records),
-                           records.size(), bench::count_failed(records));
+  bench::print_digest_line("fig2", records);
 
   if (json) {
     std::vector<bench::PerfCase> cases;

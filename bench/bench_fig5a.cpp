@@ -11,7 +11,6 @@
 // REPRO_FULL=1: the paper's q=17 (578 ToRs, 25 network + 24 server ports).
 #include <cstdio>
 
-#include "core/fluid_runner.hpp"
 #include "flow/dynamic_models.hpp"
 #include "flow/fat_tree_model.hpp"
 #include "topo/jellyfish.hpp"
@@ -24,12 +23,7 @@ int main(int argc, char** argv) {
   bench::banner("Fig 5(a)",
                 "throughput proportionality / dynamic models vs SlimFly and "
                 "Jellyfish");
-  const int threads = bench::parse_threads(argc, argv);
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  const auto shard = bench::parse_shard_flags(argc, argv);
-  bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (shard.worker_grid.empty()) bench::init_resilient_state(flags, &state);
+  const auto policy = bench::grid_policy(argc, argv, "fig5a");
 
   const bool full = core::repro_full();
   const int q = full ? 13 : 5;  // q=17 (paper) is feasible but hours-long on one core
@@ -45,17 +39,10 @@ int main(int argc, char** argv) {
 
   core::FluidSweepOptions opts;
   opts.eps = full ? 0.12 : 0.07;
-  opts.threads = threads;
-  // The topology grid runs on the same pool the per-topology sweeps share.
-  const topo::Topology* grid[] = {&jf, &sf.topo};
-  const char* prefixes[] = {"fig5a/jellyfish", "fig5a/slimfly"};
-  const auto sweeps = bench::run_grid(2, threads, [&](std::size_t i) {
-    return bench::sweep_with_flags_sharded(argc, argv, *grid[i], opts,
-                                           prefixes[i], &state, flags, shard);
-  });
+  const auto sweeps = bench::fluid_series({&jf, &sf.topo}, opts, policy);
   const auto& jf_series = sweeps[0];
   const auto& sf_series = sweeps[1];
-  const double alpha = jf_series.back().point.throughput;  // x = 1.0 anchor
+  const double alpha = jf_series.back().value("throughput");  // x = 1.0 anchor
 
   // Equal-cost fat-tree (analytic): same port budget supporting the same
   // servers; a full-bandwidth fat-tree spends 4 network ports per server.
@@ -72,8 +59,8 @@ int main(int argc, char** argv) {
   const int num_tors = sf.topo.num_switches();
   for (std::size_t i = 0; i < opts.fractions.size(); ++i) {
     const double x = opts.fractions[i];
-    t.add_row({x, flow::tp_curve(alpha, x), jf_series[i].point.throughput,
-               sf_series[i].point.throughput,
+    t.add_row({x, flow::tp_curve(alpha, x), jf_series[i].value("throughput"),
+               sf_series[i].value("throughput"),
                flow::unrestricted_dynamic_throughput(net_ports, srv_ports,
                                                      delta),
                flow::restricted_dynamic_throughput(
@@ -88,9 +75,7 @@ int main(int argc, char** argv) {
       "shrinks, tracking TP; the restricted dynamic model stays poor; the\n"
       "unrestricted model is flat at min(1, (r/delta)/s); the fat-tree is\n"
       "flat and lowest. The shaded regime of interest is small x.\n\n");
-  bench::print_digest_line("fig5a/jellyfish", core::fluid_sweep_digest(jf_series),
-                           jf_series.size(), bench::count_failed(jf_series));
-  bench::print_digest_line("fig5a/slimfly", core::fluid_sweep_digest(sf_series),
-                           sf_series.size(), bench::count_failed(sf_series));
+  bench::print_digest_line("fig5a/jellyfish", jf_series);
+  bench::print_digest_line("fig5a/slimfly", sf_series);
   return 0;
 }

@@ -3,7 +3,6 @@
 // Default scale: 64 ToRs (dim 6 + 1 long hop). REPRO_FULL=1: 512 ToRs.
 #include <cstdio>
 
-#include "core/fluid_runner.hpp"
 #include "flow/dynamic_models.hpp"
 #include "flow/fat_tree_model.hpp"
 #include "topo/jellyfish.hpp"
@@ -16,12 +15,7 @@ int main(int argc, char** argv) {
   bench::banner("Fig 5(b)",
                 "throughput proportionality / dynamic models vs LongHop and "
                 "Jellyfish");
-  const int threads = bench::parse_threads(argc, argv);
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  const auto shard = bench::parse_shard_flags(argc, argv);
-  bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (shard.worker_grid.empty()) bench::init_resilient_state(flags, &state);
+  const auto policy = bench::grid_policy(argc, argv, "fig5b");
 
   const bool full = core::repro_full();
   const int dim = full ? 9 : 6;
@@ -37,16 +31,10 @@ int main(int argc, char** argv) {
 
   core::FluidSweepOptions opts;
   opts.eps = full ? 0.12 : 0.07;
-  opts.threads = threads;
-  const topo::Topology* grid[] = {&jf, &lh};
-  const char* prefixes[] = {"fig5b/jellyfish", "fig5b/longhop"};
-  const auto sweeps = bench::run_grid(2, threads, [&](std::size_t i) {
-    return bench::sweep_with_flags_sharded(argc, argv, *grid[i], opts,
-                                           prefixes[i], &state, flags, shard);
-  });
+  const auto sweeps = bench::fluid_series({&jf, &lh}, opts, policy);
   const auto& jf_series = sweeps[0];
   const auto& lh_series = sweeps[1];
-  const double alpha = jf_series.back().point.throughput;
+  const double alpha = jf_series.back().value("throughput");
 
   const int ports = lh.num_switches() * net_ports;
   const double ft_alpha =
@@ -59,8 +47,8 @@ int main(int argc, char** argv) {
                "equalcost_fattree"});
   for (std::size_t i = 0; i < opts.fractions.size(); ++i) {
     const double x = opts.fractions[i];
-    t.add_row({x, flow::tp_curve(alpha, x), jf_series[i].point.throughput,
-               lh_series[i].point.throughput,
+    t.add_row({x, flow::tp_curve(alpha, x), jf_series[i].value("throughput"),
+               lh_series[i].value("throughput"),
                flow::unrestricted_dynamic_throughput(net_ports, servers,
                                                      delta),
                flow::restricted_dynamic_throughput(
@@ -74,9 +62,7 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper): broadly similar to Fig 5(a); Jellyfish\n"
       "stays at or above LongHop (LongHop is a structured non-optimal\n"
       "expander) and both dominate the dynamic models at small x.\n\n");
-  bench::print_digest_line("fig5b/jellyfish", core::fluid_sweep_digest(jf_series),
-                           jf_series.size(), bench::count_failed(jf_series));
-  bench::print_digest_line("fig5b/longhop", core::fluid_sweep_digest(lh_series),
-                           lh_series.size(), bench::count_failed(lh_series));
+  bench::print_digest_line("fig5b/jellyfish", jf_series);
+  bench::print_digest_line("fig5b/longhop", lh_series);
   return 0;
 }

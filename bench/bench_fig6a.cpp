@@ -5,7 +5,6 @@
 // k=20 (500 switches, 2000 servers).
 #include <cstdio>
 
-#include "core/fluid_runner.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "util.hpp"
@@ -15,10 +14,7 @@ using namespace flexnets;
 int main(int argc, char** argv) {
   bench::banner("Fig 6(a)",
                 "Jellyfish at 80/50/40% of a full fat-tree's switches");
-  const int threads = bench::parse_threads(argc, argv);
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  bench::ResilientState state;
-  bench::init_resilient_state(flags, &state);
+  const auto policy = bench::grid_policy(argc, argv, "fig6a");
 
   const bool full = core::repro_full();
   const int k = full ? 20 : 8;
@@ -30,41 +26,25 @@ int main(int argc, char** argv) {
 
   core::FluidSweepOptions opts;
   opts.eps = full ? 0.12 : 0.07;
-
-  opts.threads = threads;
   const std::vector<double> fracs = {0.8, 0.5, 0.4};
-  struct Cell {
-    std::vector<core::FluidPointRecord> sweep;
-    std::string label;
-    std::string info;
-  };
-  const auto cells = bench::run_grid(fracs.size(), threads, [&](std::size_t i) {
-    const double frac = fracs[i];
-    const int n = static_cast<int>(frac * switches);
-    const auto jf = topo::jellyfish_same_equipment(n, k, servers, 1);
-    Cell c;
-    c.sweep = bench::sweep_with_flags(
-        jf, opts, "fig6a/" + TextTable::fmt(100 * frac, 0) + "pct", &state,
-        flags.point_sleep_ms);
-    c.label = TextTable::fmt(100 * frac, 0) + "%_fat_switches";
-    c.info = "  " + jf.name + ": " + std::to_string(n) +
-             " switches of radix " + std::to_string(k) + ", " +
-             std::to_string(servers) + " servers";
-    return c;
-  });
-  std::vector<std::vector<core::FluidPointRecord>> series;
+  std::vector<topo::Topology> jfs;
   std::vector<std::string> labels;
-  for (const auto& c : cells) {
-    series.push_back(c.sweep);
-    labels.push_back(c.label);
-    std::printf("%s\n", c.info.c_str());
+  for (const double frac : fracs) {
+    const int n = static_cast<int>(frac * switches);
+    jfs.push_back(topo::jellyfish_same_equipment(n, k, servers, 1));
+    labels.push_back(TextTable::fmt(100 * frac, 0) + "%_fat_switches");
+    std::printf("  %s: %d switches of radix %d, %d servers\n",
+                jfs.back().name.c_str(), n, k, servers);
   }
   std::printf("\n");
+  const auto series =
+      bench::fluid_series({&jfs[0], &jfs[1], &jfs[2]}, opts, policy);
 
   TextTable t({"fraction_x", labels[0], labels[1], labels[2]});
   for (std::size_t i = 0; i < opts.fractions.size(); ++i) {
-    t.add_row({opts.fractions[i], series[0][i].point.throughput,
-               series[1][i].point.throughput, series[2][i].point.throughput},
+    t.add_row({opts.fractions[i], series[0][i].value("throughput"),
+               series[1][i].value("throughput"),
+               series[2][i].value("throughput")},
               3);
   }
   t.print();
@@ -73,10 +53,7 @@ int main(int argc, char** argv) {
       "Jellyfish still gives ~full bandwidth when <40%% of servers are\n"
       "active; the full fat-tree itself would be a flat 1.0 line.\n\n");
   for (std::size_t i = 0; i < series.size(); ++i) {
-    bench::print_digest_line("fig6a/" + labels[i],
-                             core::fluid_sweep_digest(series[i]),
-                             series[i].size(),
-                             bench::count_failed(series[i]));
+    bench::print_digest_line("fig6a/" + labels[i], series[i]);
   }
   return 0;
 }

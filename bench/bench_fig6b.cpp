@@ -4,7 +4,6 @@
 // Default scale: k in {8, 12}. REPRO_FULL=1: k in {12, 24, 36}.
 #include <cstdio>
 
-#include "core/fluid_runner.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "util.hpp"
@@ -14,10 +13,7 @@ using namespace flexnets;
 int main(int argc, char** argv) {
   bench::banner("Fig 6(b)",
                 "Jellyfish with a fat-tree's switches and 2x its servers");
-  const int threads = bench::parse_threads(argc, argv);
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  bench::ResilientState state;
-  bench::init_resilient_state(flags, &state);
+  const auto policy = bench::grid_policy(argc, argv, "fig6b");
 
   const bool full = core::repro_full();
   const std::vector<int> ks = full ? std::vector<int>{12, 24, 36}
@@ -25,44 +21,29 @@ int main(int argc, char** argv) {
 
   core::FluidSweepOptions opts;
   opts.eps = full ? 0.12 : 0.07;
-  opts.threads = threads;
 
-  struct Cell {
-    std::vector<core::FluidPointRecord> sweep;
-    std::string info;
-  };
-  const auto cells = bench::run_grid(ks.size(), threads, [&](std::size_t i) {
-    const int k = ks[i];
+  std::vector<topo::Topology> jfs;
+  std::vector<std::string> labels;
+  for (const int k : ks) {
     const auto ft = topo::fat_tree(k);
     const int servers = 2 * ft.topo.num_servers();
-    const auto jf = topo::jellyfish_same_equipment(ft.topo.num_switches(), k,
-                                                   servers, 1);
-    Cell c;
-    c.sweep = bench::sweep_with_flags(jf, opts,
-                                      "fig6b/k" + std::to_string(k), &state,
-                                      flags.point_sleep_ms);
-    c.info = "  k=" + std::to_string(k) + ": " +
-             std::to_string(ft.topo.num_switches()) + " switches of radix " +
-             std::to_string(k) + ", " + std::to_string(servers) +
-             " servers (fat-tree: " + std::to_string(ft.topo.num_servers()) +
-             ")";
-    return c;
-  });
-  std::vector<std::vector<core::FluidPointRecord>> series;
-  std::vector<std::string> labels;
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    std::printf("%s\n", cells[i].info.c_str());
-    series.push_back(cells[i].sweep);
-    labels.push_back("k=" + std::to_string(ks[i]));
+    jfs.push_back(topo::jellyfish_same_equipment(ft.topo.num_switches(), k,
+                                                 servers, 1));
+    labels.push_back("k=" + std::to_string(k));
+    std::printf("  k=%d: %d switches of radix %d, %d servers (fat-tree: %d)\n",
+                k, ft.topo.num_switches(), k, servers, ft.topo.num_servers());
   }
   std::printf("\n");
+  std::vector<const topo::Topology*> topos;
+  for (const auto& jf : jfs) topos.push_back(&jf);
+  const auto series = bench::fluid_series(topos, opts, policy);
 
   std::vector<std::string> header{"fraction_x"};
   header.insert(header.end(), labels.begin(), labels.end());
   TextTable t(header);
   for (std::size_t i = 0; i < opts.fractions.size(); ++i) {
     std::vector<double> row{opts.fractions[i]};
-    for (const auto& s : series) row.push_back(s[i].point.throughput);
+    for (const auto& s : series) row.push_back(s[i].value("throughput"));
     t.add_row(row, 3);
   }
   t.print();
@@ -71,10 +52,7 @@ int main(int argc, char** argv) {
       "switches, Jellyfish reaches full per-server throughput once a\n"
       "minority of servers participate, and larger k only helps.\n\n");
   for (std::size_t i = 0; i < series.size(); ++i) {
-    bench::print_digest_line("fig6b/" + labels[i],
-                             core::fluid_sweep_digest(series[i]),
-                             series[i].size(),
-                             bench::count_failed(series[i]));
+    bench::print_digest_line("fig6b/" + labels[i], series[i]);
   }
   return 0;
 }

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   // --threads N > 1 runs each point on the parallel packet engine
   // (sim/pdes/) -- identical numbers, less wall clock. Absent means the
   // historical serial engine.
-  const int flag = bench::parse_threads(argc, argv);
+  const int flag = bench::packet_threads(argc, argv);
   const int threads = flag == 0 ? 1 : flag;
   if (threads > 1) std::printf("packet engine: pdes, %d threads\n", threads);
 

@@ -203,20 +203,15 @@ int digest_check(int threads_flag) {
 int main(int argc, char** argv) {
   bench::banner("Gray showdown",
                 "cost-equalized resilience under gray failures");
-  const int threads = bench::parse_threads(argc, argv);
+  const auto policy = bench::grid_policy(argc, argv, "gray");
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--digest-check") == 0) {
-      return digest_check(threads);
+      return digest_check(policy.threads);
     }
   }
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  const auto shard = bench::parse_shard_flags(argc, argv);
   std::string json_path;
   const bool json =
       bench::parse_json_flag(argc, argv, "BENCH_SIM.json", &json_path);
-  bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (shard.worker_grid.empty()) bench::init_resilient_state(flags, &state);
   const bool full = core::repro_full();
 
   // Same-equipment contenders (the scaled analogue of the paper's
@@ -261,9 +256,8 @@ int main(int argc, char** argv) {
   }
 
   const double grid_begin_ns = bench::monotonic_ns();
-  const auto records = bench::run_grid_resilient_sharded(
-      argc, argv, n, threads, "gray", &state, flags, shard,
-      [&](std::size_t i) {
+  const auto records = bench::grid_records(
+      policy, sweep::run_grid(n, policy, [&](std::size_t i) {
         const std::size_t topo_i = i / cells;
         std::size_t c = i % cells;
         const double lp = loss_probs[c / (thresholds.size() *
@@ -280,7 +274,8 @@ int main(int argc, char** argv) {
         const metrics::DropBreakdown drops{
             r.stats.blackhole_drops, r.stats.expelled_packets,
             r.stats.gray_loss_drops};
-        return std::vector<std::pair<std::string, double>>{
+        core::JournalRecord rec;
+        rec.values = {
             {"loss_prob", lp},
             {"detect_threshold", static_cast<double>(thr)},
             {"flap_period_us", static_cast<double>(fp) / kMicrosecond},
@@ -299,7 +294,8 @@ int main(int argc, char** argv) {
              static_cast<double>(r.stats.post_repair_blackholes)},
             {"incomplete_flows",
              static_cast<double>(r.fct.incomplete_flows)}};
-      });
+        return rec;
+      }));
 
   bool ok = true;
   TextTable table({"topology", "loss", "thresh", "flap_us", "infl_p50",
@@ -336,8 +332,7 @@ int main(int argc, char** argv) {
       "fat-tree's at equal cost. Gray losses dominate the drop breakdown\n"
       "(the hard failure contributes the expelled class), and after the\n"
       "final repair the audit proves zero blackholes remain.\n\n");
-  bench::print_digest_line("gray", bench::grid_digest(records),
-                           records.size(), bench::count_failed(records));
+  bench::print_digest_line("gray", records);
 
   if (json) {
     // Wall time is stamped at emission, never journaled: the grid digest

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     // `--json --threads N` appends an e2e case at N workers on top of
     // the pinned {1, 2, 4}. (Benchmark mode covers the same grid via the
     // BM_EndToEndPacketSim threads arg instead of a flag.)
-    return run_json_mode(path, bench::parse_threads(argc, argv));
+    return run_json_mode(path, bench::packet_threads(argc, argv));
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

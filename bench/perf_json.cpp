@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace flexnets::bench {
 
@@ -55,8 +56,9 @@ bool write_document(const std::string& path, const std::string& bench_name,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"%s\",\n  \"schema_version\": 1,\n"
-               "  \"peak_rss_kb\": %s,\n  \"cases\": [\n",
-               escape(bench_name).c_str(),
+               "  \"host_cores\": %u,\n  \"peak_rss_kb\": %s,\n"
+               "  \"cases\": [\n",
+               escape(bench_name).c_str(), std::thread::hardware_concurrency(),
                format_number(peak_rss_kb()).c_str());
   for (std::size_t i = 0; i < case_lines.size(); ++i) {
     std::fprintf(f, "%s%s\n", case_lines[i].c_str(),

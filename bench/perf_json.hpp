@@ -29,18 +29,20 @@ struct PerfCase {
   }
 };
 
-// Writes {"bench": ..., "schema_version": 1, "peak_rss_kb": ...,
-// "cases": [...]} to `path`. The root peak_rss_kb is sampled at write time,
-// so every --json bench records its memory budget alongside ns/op without
-// each bench doing anything. Returns false (after printing to stderr) if
+// Writes {"bench": ..., "schema_version": 1, "host_cores": ...,
+// "peak_rss_kb": ..., "cases": [...]} to `path`. The root host_cores
+// (std::thread::hardware_concurrency) and peak_rss_kb (sampled at write
+// time) are filled in here, so every --json bench records how many cores
+// produced its numbers and its memory budget without doing anything. Returns false (after printing to stderr) if
 // the file cannot be written.
 bool write_perf_json(const std::string& path, const std::string& bench_name,
                      const std::vector<PerfCase>& cases);
 
 // Merges `cases` into an existing perf JSON written by write_perf_json:
 // existing cases with the same names are replaced, everything else is
-// preserved, and the root peak_rss_kb is refreshed. Falls back to a fresh
-// write_perf_json when the file is missing or not in the expected shape.
+// preserved, and the root host_cores and peak_rss_kb are refreshed. Falls
+// back to a fresh write_perf_json when the file is missing or not in the
+// expected shape.
 // This is how bench_hyperscale shares BENCH_MCF.json with micro_flow.
 bool append_perf_json(const std::string& path, const std::string& bench_name,
                       const std::vector<PerfCase>& cases);

@@ -9,9 +9,9 @@
 
 #include "core/fluid_runner.hpp"
 #include "flow/dynamic_models.hpp"
-#include "flow/throughput.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/spectral.hpp"
+#include "sweep/grid.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/slim_fly.hpp"
 #include "topo/xpander.hpp"
@@ -43,13 +43,30 @@ int main() {
   std::printf("\nper-server throughput on longest-matching TMs:\n");
   std::printf("%-10s %10s %10s %10s %12s %12s\n", "fraction", "slimfly",
               "jellyfish", "xpander", "unrestr_dyn", "restr_dyn");
-  const auto s1 = core::fluid_sweep(sf.topo, opts);
-  const auto s2 = core::fluid_sweep(jf, opts);
-  const auto s3 = core::fluid_sweep(xp, opts);
-  for (std::size_t i = 0; i < opts.fractions.size(); ++i) {
+  // One grid over (topology, fraction), records topology-major. The
+  // default policy runs the points on every hardware thread, with no
+  // journal.
+  const auto grid =
+      sweep::run_fluid_grid({&sf.topo, &jf, &xp}, opts, sweep::GridPolicy{});
+  if (!grid.ok()) {
+    std::fprintf(stderr, "error: %s\n", grid.status().to_string().c_str());
+    return 1;
+  }
+  for (const auto& r : grid->records) {
+    if (!r.ok()) {
+      std::fprintf(stderr, "error: point %s failed: %s\n", r.key.c_str(),
+                   r.message.c_str());
+      return 1;
+    }
+  }
+  const std::size_t f = opts.fractions.size();
+  const auto tput = [&](std::size_t t, std::size_t i) {
+    return grid->records[t * f + i].value("throughput");
+  };
+  for (std::size_t i = 0; i < f; ++i) {
     const double x = opts.fractions[i];
     std::printf("%-10.2f %10.3f %10.3f %10.3f %12.3f %12.3f\n", x,
-                s1[i].throughput, s2[i].throughput, s3[i].throughput,
+                tput(0, i), tput(1, i), tput(2, i),
                 flow::unrestricted_dynamic_throughput(7, 6, 1.5),
                 flow::restricted_dynamic_throughput(
                     static_cast<int>(x * 50), 7, 6, 1.5));

@@ -6,9 +6,9 @@
 // exhausted solver budgets, partitioned instances — which a sweep must
 // survive, record, and route around instead of dying. Input boundaries
 // (topo/io, fault plan loading) return StatusOr<T>; long-running solves
-// return a result carrying a StatusCode; the sweep drivers capture any
-// escaping failure into the owning point's record (core/parallel
-// run_indexed_contained, core/fluid_runner fluid_sweep_resilient).
+// return a result carrying a StatusCode; the grid runner captures any
+// escaping failure into the owning point's record (sweep::run_grid, via
+// sweep::contain_point).
 #pragma once
 
 #include <cstdint>
@@ -106,7 +106,7 @@ Status internal_error(const Ts&... parts) {
 
 // Exception carrier for containment boundaries: code that cannot return a
 // Status through its signature raises one via throw_status, and
-// core/parallel's run_indexed_contained catches it back into the owning
+// sweep::contain_point (sweep/grid.hpp) catches it back into the owning
 // grid point's record. The throw itself lives in status.cpp so the
 // hard-exit lint keeps `throw` out of engine code.
 class StatusError : public std::runtime_error {

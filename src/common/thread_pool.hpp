@@ -41,16 +41,16 @@ namespace flexnets {
 
 // Worker count actually used for a request: an explicit requested > 0
 // wins, then FLEXNETS_THREADS from the environment, then
-// std::thread::hardware_concurrency(). Always >= 1. (core::resolve_threads
-// forwards here; the implementation lives in common so the engine layers
-// below core -- e.g. sim/pdes -- can resolve thread counts too.)
+// std::thread::hardware_concurrency(). Always >= 1. Lives in common so
+// every layer that sizes a pool -- sim/pdes, core's packet runner, the
+// grid runner in sweep -- resolves thread counts the same way.
 [[nodiscard]] int resolve_threads(int requested = 0);
 
 class ThreadPool {
  public:
   // Spawns num_threads workers (clamped to >= 1). A 1-worker pool still
   // satisfies every contract above; callers wanting strictly serial
-  // execution should not construct a pool at all (see core::run_indexed,
+  // execution should not construct a pool at all (see sweep::run_grid,
   // which short-circuits to a plain loop for threads <= 1).
   explicit ThreadPool(int num_threads = default_threads());
   ~ThreadPool();
@@ -102,7 +102,7 @@ class ThreadPool {
 
   // The pool whose task the calling thread is currently executing, or
   // nullptr. Lets nested indexed grids share the outer pool instead of
-  // spawning a second one (core::run_indexed).
+  // spawning a second one (sweep::run_grid).
   [[nodiscard]] static ThreadPool* current() noexcept;
 
   // Default worker count: FLEXNETS_THREADS from the environment if set

@@ -5,8 +5,8 @@
 // Resume contract: sub-seeds are derived from the point *index*
 // (hash_words(seed, index)), never from execution order, so "skip the
 // journaled points, compute the rest" reproduces the uninterrupted sweep
-// bit for bit -- fluid_sweep_digest over a resumed grid equals the digest
-// of a run that was never killed. To make that exact, every double is
+// bit for bit -- a grid resumed through sweep::run_grid has the digest of
+// a run that was never killed. To make that exact, every double is
 // journaled as the hex encoding of its IEEE-754 bits (the decimal value
 // in the same line is for humans only and is ignored on load).
 //

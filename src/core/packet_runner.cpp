@@ -1,8 +1,8 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel.hpp"
 #include "sim/pdes/runner.hpp"
 
 namespace flexnets::core {
@@ -22,7 +22,7 @@ PacketResult run_packet_experiment(const topo::Topology& topo,
   sim::PacketNetwork net(topo, opts.net);
 
   PacketResult result;
-  const int threads = resolve_threads(opts.threads);
+  const int threads = flexnets::resolve_threads(opts.threads);
   const bool parallel = threads > 1;
   if (parallel) {
     FLEXNETS_CHECK(opts.max_events == 0,

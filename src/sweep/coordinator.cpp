@@ -54,7 +54,7 @@ struct Coordinator {
   LeaseTable table;
   std::vector<Slot> slots;
   std::vector<core::JournalRecord> records;
-  ShardedResult result;
+  GridResult result;
   std::int64_t deadline_ms;
   std::size_t lease_count = 0;       // chaos-kill cadence
   std::size_t deaths_since_progress = 0;
@@ -346,7 +346,7 @@ struct Coordinator {
 
 }  // namespace
 
-StatusOr<ShardedResult> run_sharded(std::size_t n,
+StatusOr<GridResult> run_sharded(std::size_t n,
                                     const ShardedOptions& opts) {
   if (opts.exec_path.empty()) {
     return invalid_input_error("run_sharded: empty exec_path");

@@ -27,12 +27,14 @@
 
 #include "common/status.hpp"
 #include "core/journal.hpp"
+#include "sweep/grid.hpp"
 
 namespace flexnets::sweep {
 
 struct ShardedOptions {
-  // Worker binary + argv[1..]. Benches pass /proc/self/exe and their own
-  // arguments (minus the coordinator-only flags) plus --sweep-worker=.
+  // Worker binary + argv[1..]. sweep::run_grid passes /proc/self/exe and
+  // this process's arguments minus the coordinator-only flags, plus
+  // --sweep-worker=<key_prefix> (sweep::worker_args).
   std::string exec_path;
   std::vector<std::string> args;
 
@@ -67,21 +69,15 @@ struct ShardedOptions {
   std::string key_prefix;
 };
 
-struct ShardedResult {
-  // One record per point, index order: exactly what the serial sweep
-  // would produce (quarantined points carry their structured failure).
-  std::vector<core::JournalRecord> records;
-  std::size_t computed = 0;    // points computed by workers this run
-  std::size_t restored = 0;    // points restored from the resume index
-  std::size_t retries = 0;     // leases beyond each point's first
-  std::size_t quarantined = 0; // points that exhausted max_attempts
-  std::size_t worker_deaths = 0;  // crashes + hangs + chaos kills observed
-};
-
-// Runs the n-point grid to completion across worker subprocesses.
+// Runs the n-point grid to completion across worker subprocesses. The
+// result holds one record per point in index order -- exactly what the
+// in-process run would produce (quarantined points carry their
+// structured failure) -- plus the retry and death counters. Called by
+// sweep::run_grid for workers > 1; tests drive it directly for the chaos
+// and backoff knobs the grid policy does not expose.
 // kInternal only when orchestration itself cannot make progress (spawn
 // failure loop, protocol breakdown on every worker) — per-point failures
 // are DATA (structured records), not orchestration errors.
-StatusOr<ShardedResult> run_sharded(std::size_t n, const ShardedOptions& opts);
+StatusOr<GridResult> run_sharded(std::size_t n, const ShardedOptions& opts);
 
 }  // namespace flexnets::sweep

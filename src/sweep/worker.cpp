@@ -1,10 +1,9 @@
 #include "sweep/worker.hpp"
 
-#include <cstring>
-#include <exception>
 #include <string>
 
 #include "common/check.hpp"
+#include "sweep/grid.hpp"
 #include "sweep/process_supervisor.hpp"
 
 namespace flexnets::sweep {
@@ -42,40 +41,12 @@ bool send(int fd, std::string frame) {
   return ProcessSupervisor::write_all(fd, frame);
 }
 
-// The point function is run with checks throwing so a poisoned point is
-// contained into a structured kInternal record — the same discipline as
-// core::run_indexed_contained, but the verdict travels over the wire.
-core::JournalRecord compute_contained(const WorkerOptions& opts,
-                                      std::size_t index) {
-  const CheckPolicyScope policy(CheckPolicy::kThrow);
-  try {
-    return opts.fn(index);
-  } catch (const StatusError& e) {
-    core::JournalRecord rec;
-    rec.key = opts.key_prefix + "/" + std::to_string(index);
-    rec.code = e.status().code();
-    rec.message = e.status().message();
-    return rec;
-  } catch (const CheckFailure& e) {
-    core::JournalRecord rec;
-    rec.key = opts.key_prefix + "/" + std::to_string(index);
-    rec.code = StatusCode::kInternal;
-    rec.message = std::string("check failed: ") + e.what();
-    return rec;
-  } catch (const std::exception& e) {
-    core::JournalRecord rec;
-    rec.key = opts.key_prefix + "/" + std::to_string(index);
-    rec.code = StatusCode::kInternal;
-    rec.message = e.what();
-    return rec;
-  }
-  // Anything not derived from std::exception stays fatal; the coordinator
-  // sees a worker death and applies the same retry policy.
-}
-
 }  // namespace
 
 int run_worker(const WorkerOptions& opts) {
+  // Checks throw for the whole serving loop, so contain_point can turn an
+  // escaped check into a structured kInternal record.
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
   if (!send(opts.result_fd, format_ready_frame())) return 1;
   LineReader reader{opts.lease_fd, {}};
   std::string line;
@@ -121,7 +92,7 @@ int run_worker(const WorkerOptions& opts) {
       rec.code = StatusCode::kInternal;
       rec.message = "injected failure (FLEXNETS_FAIL_AT)";
     } else {
-      rec = compute_contained(opts, frame->index);
+      rec = contain_point(opts.fn, opts.key_prefix, frame->index);
     }
     if (!send(opts.result_fd,
               format_result_frame(frame->index, frame->attempt, rec))) {
@@ -129,17 +100,6 @@ int run_worker(const WorkerOptions& opts) {
     }
   }
   return 0;  // EOF: the coordinator closed the lease pipe
-}
-
-bool worker_grid_flag(int argc, char** argv, std::string* grid) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--sweep-worker=", 15) == 0) {
-      *grid = arg + 15;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace flexnets::sweep

@@ -1,6 +1,6 @@
 // Worker half of the sharded sweep protocol (sweep/wire.hpp). A worker
 // process is a bench/CLI binary re-exec'ed with --sweep-worker=<grid>: it
-// rebuilds the same topology and sweep options as the coordinator, then
+// rebuilds the same grid as the coordinator, and its sweep::run_grid call
 // enters run_worker, which serves leases until shutdown/EOF.
 //
 // Determinism contract: the point function must depend only on the point
@@ -20,14 +20,14 @@
 namespace flexnets::sweep {
 
 struct WorkerOptions {
-  // Computes point `i` and returns its record (key, code, values). The
-  // function is still run under containment here — a StatusError /
-  // CheckFailure / std::exception escaping it becomes a structured
-  // kInternal record instead of killing the worker — so a poisoned point
-  // reaches the coordinator as data, which then applies the retry policy.
+  // Computes point `i` and returns its record (code, values). It runs
+  // under sweep::contain_point — an exception or failed check escaping it
+  // becomes a structured record instead of killing the worker — so a
+  // poisoned point reaches the coordinator as data, which then applies
+  // the retry policy.
   std::function<core::JournalRecord(std::size_t)> fn;
   std::size_t num_points = 0;
-  // Key stem for synthesized containment records: "<key_prefix>/<i>".
+  // Records are keyed "<key_prefix>/<i>".
   std::string key_prefix;
   int lease_fd = kWorkerLeaseFd;
   int result_fd = kWorkerResultFd;
@@ -40,10 +40,5 @@ struct WorkerOptions {
 // mid-write, 2 on a protocol violation (after emitting an `error` frame).
 // Never throws and never calls exit() — the caller owns process exit.
 int run_worker(const WorkerOptions& opts);
-
-// True when argv carries `--sweep-worker=<grid>`; *grid gets the value.
-// Bench binaries check this before printing anything: a worker process
-// must go straight to serving its grid.
-bool worker_grid_flag(int argc, char** argv, std::string* grid);
 
 }  // namespace flexnets::sweep

@@ -1,9 +1,10 @@
-// The determinism headline invariant of the parallel sweep layer: same
-// seed, any thread count, bit-identical results. fluid_sweep runs with
-// threads in {1, 2, 8} over fat-tree, Xpander, and Jellyfish for every
-// TmFamily, and each parallel run must match the serial (threads=1) path
-// exactly — double bits and common/digest value alike. This suite carries
-// the `parallel` ctest label and is the one the tsan preset gates on.
+// The determinism headline invariant of the grid runner's in-process
+// path: same seed, any thread count, bit-identical results. Fluid sweeps
+// run through sweep::run_grid with threads in {1, 2, 8} over fat-tree,
+// Xpander, and Jellyfish for every TmFamily, and each parallel run must
+// match the serial (threads=1) path exactly — double bits and
+// common/digest value alike. This suite carries the `parallel` ctest label
+// and is the one the tsan preset gates on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,17 +12,21 @@
 #include <string>
 #include <vector>
 
+#include "../fluid_grid.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/fluid_runner.hpp"
-#include "core/parallel.hpp"
 #include "flow/tm_generators.hpp"
+#include "sweep/grid.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
 
 namespace flexnets::core {
 namespace {
+
+using test_util::plain_sweep;
 
 std::uint64_t bits_of(double d) {
   std::uint64_t b = 0;
@@ -82,12 +87,11 @@ TEST(ParallelEquivalence, FluidSweepBitIdenticalAcrossThreadCounts) {
       opts.family = family;
       opts.eps = 0.15;
       opts.seed = 7;
-      opts.threads = 1;  // strictly serial reference: no pool at all
-      const auto serial = fluid_sweep(inst.topo, opts);
+      // threads = 1 is the strictly serial reference: no pool at all.
+      const auto serial = plain_sweep(inst.topo, opts, 1);
       ASSERT_EQ(serial.size(), opts.fractions.size());
       for (const int threads : {2, 8}) {
-        opts.threads = threads;
-        expect_bit_identical(serial, fluid_sweep(inst.topo, opts),
+        expect_bit_identical(serial, plain_sweep(inst.topo, opts, threads),
                              inst.label + " / " + family_name(family) +
                                  " / threads=" + std::to_string(threads));
       }
@@ -102,9 +106,8 @@ TEST(ParallelEquivalence, RepeatedParallelRunsAreBitIdentical) {
   opts.fractions = {0.4, 0.7, 1.0};
   opts.eps = 0.15;
   opts.seed = 11;
-  opts.threads = 8;
-  const auto a = fluid_sweep(jf, opts);
-  const auto b = fluid_sweep(jf, opts);
+  const auto a = plain_sweep(jf, opts, 8);
+  const auto b = plain_sweep(jf, opts, 8);
   expect_bit_identical(a, b, "jellyfish repeat");
 }
 
@@ -117,11 +120,10 @@ TEST(ParallelEquivalence, PointResultDependsOnIndexAndSeedOnly) {
   FluidSweepOptions opts;
   opts.eps = 0.15;
   opts.seed = 3;
-  opts.threads = 1;
   opts.fractions = {0.2, 0.8};
-  const auto a = fluid_sweep(jf, opts);
+  const auto a = plain_sweep(jf, opts, 1);
   opts.fractions = {0.9, 0.8};
-  const auto b = fluid_sweep(jf, opts);
+  const auto b = plain_sweep(jf, opts, 1);
   EXPECT_EQ(bits_of(a[1].throughput), bits_of(b[1].throughput));
   // And the index really keys the stream: the documented derivation
   // hash(seed, index) hands different indices different rack subsets.
@@ -139,28 +141,36 @@ TEST(ParallelEquivalence, AuditedSharedCacheHandoffMatchesSerial) {
   opts.fractions = {0.5, 1.0};
   opts.eps = 0.15;
   opts.seed = 5;
-  opts.threads = 1;
-  const auto serial = fluid_sweep(xp, opts);
+  const auto serial = plain_sweep(xp, opts, 1);
   AuditScope audit(true);
-  opts.threads = 8;
-  expect_bit_identical(serial, fluid_sweep(xp, opts), "audited xpander");
+  expect_bit_identical(serial, plain_sweep(xp, opts, 8), "audited xpander");
 }
 
 TEST(ParallelEquivalence, RunIndexedWritesEverySlotOnce) {
+  // run_grid's in-process path runs every point exactly once, whatever
+  // the thread count, and returns its records in index order.
   constexpr std::size_t kN = 64;
   for (const int threads : {1, 2, 8}) {
     std::vector<int> hits(kN, 0);
-    run_indexed(
-        kN, [&](std::size_t i) { ++hits[i]; }, threads);
+    sweep::GridPolicy policy;
+    policy.threads = threads;
+    const auto result = sweep::run_grid(kN, policy, [&](std::size_t i) {
+      ++hits[i];
+      return JournalRecord{};
+    });
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    ASSERT_EQ(result->records.size(), kN);
+    EXPECT_EQ(result->computed, kN);
     for (std::size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[i], 1) << "threads=" << threads << " slot " << i;
+      EXPECT_EQ(result->records[i].key, "grid/" + std::to_string(i));
     }
   }
 }
 
 TEST(ParallelEquivalence, ResolveThreadsPrecedence) {
-  EXPECT_EQ(resolve_threads(5), 5);  // explicit request wins
-  EXPECT_GE(resolve_threads(0), 1);  // env / hardware fallback, never < 1
+  EXPECT_EQ(flexnets::resolve_threads(5), 5);  // explicit request wins
+  EXPECT_GE(flexnets::resolve_threads(0), 1);  // env / hardware, never < 1
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // headline contract — the merged record list is field-identical to the
 // serial loop for every worker count, kill schedule, and retry history —
 // plus the robustness paths: crash-injection retry, hang detection,
-// quarantine, chaos kills, and journal resume.
+// quarantine, chaos kills, and journal resume. The worker-count and resume
+// contracts run through sweep::run_grid; the robustness paths drive the
+// coordinator (sweep::run_sharded) directly for its chaos and backoff
+// knobs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +17,7 @@
 #include "common/status.hpp"
 #include "core/journal.hpp"
 #include "sweep/coordinator.hpp"
+#include "sweep/grid.hpp"
 #include "test_grid.hpp"
 
 namespace flexnets::sweep {
@@ -43,6 +47,13 @@ ShardedOptions base_options() {
   return o;
 }
 
+GridPolicy grid_policy(int workers) {
+  GridPolicy p;
+  p.key_prefix = testgrid::kPrefix;
+  p.workers = workers;
+  return p;
+}
+
 std::vector<core::JournalRecord> serial(std::size_t n) {
   std::vector<core::JournalRecord> out;
   out.reserve(n);
@@ -59,12 +70,11 @@ std::vector<core::JournalRecord> strip_attempts(
 }
 
 TEST(SweepE2E, DigestIdenticalAcrossWorkerCounts) {
+  // workers = 1 runs in process; 2 and 4 shard across subprocesses.
   const std::size_t n = 12;
   const auto want = serial(n);
   for (const int workers : {1, 2, 4}) {
-    auto opts = base_options();
-    opts.workers = workers;
-    const auto got = run_sharded(n, opts);
+    const auto got = run_grid(n, grid_policy(workers), testgrid::point);
     ASSERT_TRUE(got.ok()) << "workers=" << workers << ": "
                           << got.status().to_string();
     EXPECT_EQ(strip_attempts(got->records), want) << "workers=" << workers;
@@ -172,25 +182,20 @@ TEST(SweepE2E, ResumeRestoresJournaledPointsAndRecomputesTheRest) {
       ::testing::TempDir() + "/sweep_e2e_resume.jsonl";
   std::remove(path.c_str());
 
-  core::Journal journal;
-  ASSERT_TRUE(journal.open(path).ok());
-  auto opts = base_options();
-  opts.workers = 2;
-  opts.journal = &journal;
-  const auto first = run_sharded(n, opts);
+  auto policy = grid_policy(2);
+  ASSERT_TRUE(open_journal(path, {}, &policy).ok());
+  const auto first = run_grid(n, policy, testgrid::point);
   ASSERT_TRUE(first.ok()) << first.status().to_string();
-  journal.close();
+  policy.journal->close();
 
   // Second run resumes from the merged journal: everything restores,
   // nothing recomputes, and the records still match the serial loop.
   const auto loaded = core::load_journal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   ASSERT_EQ(loaded->size(), n);
-  const auto completed = core::index_by_key(*loaded);
-  auto opts2 = base_options();
-  opts2.workers = 2;
-  opts2.completed = &completed;
-  const auto second = run_sharded(n, opts2);
+  auto policy2 = grid_policy(2);
+  policy2.completed = core::index_by_key(*loaded);
+  const auto second = run_grid(n, policy2, testgrid::point);
   ASSERT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(second->restored, n);
   EXPECT_EQ(second->computed, 0u);
@@ -198,14 +203,11 @@ TEST(SweepE2E, ResumeRestoresJournaledPointsAndRecomputesTheRest) {
 
   // Partial resume: drop half the records — exactly the missing half is
   // recomputed and the merge is again serial-identical.
-  std::map<std::string, core::JournalRecord> half;
+  auto policy3 = grid_policy(2);
   for (std::size_t i = 0; i < n; i += 2) {
-    half.emplace(testgrid::point(i).key, testgrid::point(i));
+    policy3.completed.emplace(testgrid::point(i).key, testgrid::point(i));
   }
-  auto opts3 = base_options();
-  opts3.workers = 2;
-  opts3.completed = &half;
-  const auto third = run_sharded(n, opts3);
+  const auto third = run_grid(n, policy3, testgrid::point);
   ASSERT_TRUE(third.ok()) << third.status().to_string();
   EXPECT_EQ(third->restored, n / 2);
   EXPECT_EQ(third->computed, n - n / 2);
@@ -214,9 +216,7 @@ TEST(SweepE2E, ResumeRestoresJournaledPointsAndRecomputesTheRest) {
 }
 
 TEST(SweepE2E, ZeroPointsCompletesImmediately) {
-  auto opts = base_options();
-  opts.workers = 2;
-  const auto got = run_sharded(0, opts);
+  const auto got = run_grid(0, grid_policy(2), testgrid::point);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   EXPECT_TRUE(got->records.empty());
   EXPECT_EQ(got->worker_deaths, 0u);

@@ -6,12 +6,15 @@
 
 #include "core/experiment.hpp"
 #include "core/fluid_runner.hpp"
+#include "fluid_grid.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
 #include "workload/flow_size.hpp"
 
 namespace flexnets::core {
 namespace {
+
+using test_util::plain_sweep;
 
 PacketSimOptions small_options() {
   PacketSimOptions opts;
@@ -60,7 +63,7 @@ TEST(FluidRunner, SweepCoversRequestedFractions) {
   FluidSweepOptions opts;
   opts.fractions = {0.25, 0.75};
   opts.eps = 0.1;
-  const auto pts = fluid_sweep(jf, opts);
+  const auto pts = plain_sweep(jf, opts);
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_DOUBLE_EQ(pts[0].fraction, 0.25);
   EXPECT_DOUBLE_EQ(pts[1].fraction, 0.75);
@@ -78,8 +81,8 @@ TEST(FluidRunner, FamiliesProduceDifferentLoads) {
   a2a.family = TmFamily::kAllToAll;
   // All-to-all spreads demand and is easier than matchings (paper cites
   // this empirical ordering from Jyothi et al.).
-  EXPECT_GE(fluid_sweep(jf, a2a)[0].throughput + 0.05,
-            fluid_sweep(jf, lm)[0].throughput);
+  EXPECT_GE(plain_sweep(jf, a2a)[0].throughput + 0.05,
+            plain_sweep(jf, lm)[0].throughput);
 }
 
 TEST(ReproFull, ReadsEnvironment) {

@@ -1,6 +1,5 @@
-// Resilient sweep layer: per-point fault containment
-// (core/parallel run_indexed_contained), the durable journal integration
-// in fluid_sweep_resilient, and the kill/resume digest contract —
+// Resilient grid runs: per-point fault containment in sweep::run_grid,
+// its durable journal integration, and the kill/resume digest contract —
 // a journal truncated by a mid-run SIGKILL, resumed, must reproduce the
 // uninterrupted sweep's digest bit for bit.
 #include <gtest/gtest.h>
@@ -8,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,7 +17,8 @@
 #include "common/status.hpp"
 #include "core/fluid_runner.hpp"
 #include "core/journal.hpp"
-#include "core/parallel.hpp"
+#include "fluid_grid.hpp"
+#include "sweep/grid.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/io.hpp"
 #include "topo/xpander.hpp"
@@ -25,86 +26,114 @@
 namespace flexnets::core {
 namespace {
 
+using test_util::fluid_grid;
+using test_util::fluid_points;
+using test_util::plain_sweep;
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+std::shared_ptr<Journal> open_journal_at(const std::string& path) {
+  auto journal = std::make_shared<Journal>();
+  EXPECT_TRUE(journal->open(path).ok()) << path;
+  return journal;
+}
+
 // ---------------------------------------------------------------------------
-// run_indexed_contained
+// Containment: every failure mode of a point lands in that point's record.
 
 TEST(RunIndexedContained, CapturesEveryFailureModeAndRunsEveryIndex) {
   std::atomic<int> ran{0};
-  const auto statuses = run_indexed_contained(
-      5,
-      [&](std::size_t i) -> Status {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        switch (i) {
-          case 1:
-            return invalid_input_error("bad point ", i);
-          case 2:
-            throw_status(partitioned_error("no route at point ", i));
-          case 3:
-            FLEXNETS_CHECK(false, "poisoned invariant at point ", i);
-            return Status();
-          case 4:
-            throw std::runtime_error("stray exception");
-          default:
-            return Status();
-        }
-      },
-      2);
+  sweep::GridPolicy policy;
+  policy.threads = 2;
+  const auto result = sweep::run_grid(5, policy, [&](std::size_t i) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+    JournalRecord rec;
+    switch (i) {
+      case 1:
+        rec.code = StatusCode::kInvalidInput;
+        rec.message = "bad point 1";
+        return rec;
+      case 2:
+        throw_status(partitioned_error("no route at point ", i));
+      case 3:
+        FLEXNETS_CHECK(false, "poisoned invariant at point ", i);
+        return rec;
+      case 4:
+        throw std::runtime_error("stray exception");
+      default:
+        return rec;
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const auto& records = result->records;
 
   EXPECT_EQ(ran.load(), 5);
-  ASSERT_EQ(statuses.size(), 5u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_EQ(statuses[1].code(), StatusCode::kInvalidInput);
-  EXPECT_EQ(statuses[2].code(), StatusCode::kPartitioned);
-  EXPECT_NE(statuses[2].message().find("no route at point 2"),
+  ASSERT_EQ(records.size(), 5u);
+  EXPECT_TRUE(records[0].ok());
+  EXPECT_EQ(records[1].code, StatusCode::kInvalidInput);
+  EXPECT_EQ(records[2].code, StatusCode::kPartitioned);
+  EXPECT_NE(records[2].message.find("no route at point 2"),
             std::string::npos);
-  EXPECT_EQ(statuses[3].code(), StatusCode::kInternal);
-  EXPECT_NE(statuses[3].message().find("poisoned invariant"),
-            std::string::npos);
-  EXPECT_EQ(statuses[4].code(), StatusCode::kInternal);
-  EXPECT_NE(statuses[4].message().find("stray exception"), std::string::npos);
+  EXPECT_EQ(records[3].code, StatusCode::kInternal);
+  EXPECT_NE(records[3].message.find("poisoned invariant"), std::string::npos);
+  EXPECT_EQ(records[4].code, StatusCode::kInternal);
+  EXPECT_NE(records[4].message.find("stray exception"), std::string::npos);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].key, "grid/" + std::to_string(i));
+  }
 }
 
 TEST(RunIndexedContained, IsDeterministicAcrossThreadCounts) {
   const auto run = [](int threads) {
-    return run_indexed_contained(
-        8,
-        [](std::size_t i) -> Status {
-          if (i % 3 == 1) return invalid_input_error("point ", i);
-          return Status();
-        },
-        threads);
+    sweep::GridPolicy policy;
+    policy.threads = threads;
+    return sweep::run_grid(8, policy,
+                           [](std::size_t i) {
+                             if (i % 3 == 1) {
+                               throw_status(invalid_input_error("point ", i));
+                             }
+                             return JournalRecord{};
+                           })
+        ->records;
   };
   EXPECT_EQ(run(1), run(4));
 }
 
 // ---------------------------------------------------------------------------
-// fluid_sweep_resilient
+// Journaled fluid sweeps
 
 FluidSweepOptions small_sweep() {
   FluidSweepOptions opts;
   opts.fractions = {0.25, 0.5, 0.75, 1.0};
   opts.seed = 7;
-  opts.threads = 2;
   return opts;
+}
+
+sweep::GridPolicy two_threads(const std::string& key_prefix = "sweep") {
+  sweep::GridPolicy policy;
+  policy.threads = 2;
+  policy.key_prefix = key_prefix;
+  return policy;
 }
 
 TEST(ResilientSweep, MatchesThePlainSweepWhenEveryPointSucceeds) {
   const auto ft = topo::fat_tree(4);
   const auto opts = small_sweep();
 
-  const auto plain = fluid_sweep(ft.topo, opts);
+  const auto plain = plain_sweep(ft.topo, opts, 2);
 
-  ResilientSweepOptions ropts;
-  ropts.sweep = opts;
-  const auto records = fluid_sweep_resilient(ft.topo, ropts);
+  const std::string path = temp_path("matches_plain.jsonl");
+  std::remove(path.c_str());
+  auto policy = two_threads();
+  policy.journal = open_journal_at(path);
+  const auto records = fluid_grid(ft.topo, opts, policy);
 
   ASSERT_EQ(records.size(), plain.size());
-  for (const auto& r : records) EXPECT_TRUE(r.status.ok()) << r.status.to_string();
-  EXPECT_EQ(fluid_sweep_digest(records), fluid_sweep_digest(plain));
+  for (const auto& r : records) EXPECT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(fluid_sweep_digest(fluid_points(records)),
+            fluid_sweep_digest(plain));
 }
 
 TEST(ResilientSweep, JournalRecordRoundTripsExactly) {
@@ -113,10 +142,11 @@ TEST(ResilientSweep, JournalRecordRoundTripsExactly) {
   rec.point.throughput = 1.0 / 3.0;
   rec.status = budget_exhausted_error("stopped after 3 phases");
 
-  const auto j = to_journal_record("fig5a/jellyfish", 12, rec);
-  EXPECT_EQ(j.key, "fig5a/jellyfish/12");
+  auto j = to_journal_record(rec);
+  j.key = "fig5a/12";
   const auto parsed = parse_json_line(to_json_line(j));
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->key, "fig5a/12");
   const auto back = from_journal_record(*parsed);
   EXPECT_EQ(back.point.fraction, rec.point.fraction);
   EXPECT_EQ(back.point.throughput, rec.point.throughput);
@@ -132,13 +162,10 @@ TEST(ResilientSweep, KillMidSweepThenResumeReproducesTheDigest) {
   std::remove(full_path.c_str());
   std::uint64_t full_digest = 0;
   {
-    Journal journal;
-    ASSERT_TRUE(journal.open(full_path).ok());
-    ResilientSweepOptions ropts;
-    ropts.sweep = opts;
-    ropts.journal = &journal;
-    ropts.key_prefix = "fig/x";
-    full_digest = fluid_sweep_digest(fluid_sweep_resilient(x.topo, ropts));
+    auto policy = two_threads("fig/x");
+    policy.journal = open_journal_at(full_path);
+    full_digest =
+        fluid_sweep_digest(fluid_points(fluid_grid(x.topo, opts, policy)));
   }
 
   // Simulate a SIGKILL after two points: keep the first two journal lines
@@ -159,19 +186,14 @@ TEST(ResilientSweep, KillMidSweepThenResumeReproducesTheDigest) {
   const auto survivors = load_journal(killed_path);
   ASSERT_TRUE(survivors.ok());
   EXPECT_EQ(survivors->size(), 2u);  // torn line dropped
-  const auto completed = index_by_key(*survivors);
 
-  Journal journal;
-  ASSERT_TRUE(journal.open(killed_path).ok());
-  ResilientSweepOptions ropts;
-  ropts.sweep = opts;
-  ropts.journal = &journal;
-  ropts.completed = &completed;
-  ropts.key_prefix = "fig/x";
-  const auto resumed = fluid_sweep_resilient(x.topo, ropts);
-  journal.close();
+  auto policy = two_threads("fig/x");
+  ASSERT_TRUE(sweep::open_journal("", {killed_path}, &policy).ok());
+  EXPECT_EQ(policy.completed.size(), 2u);
+  const auto resumed = fluid_grid(x.topo, opts, policy);
+  policy.journal->close();
 
-  EXPECT_EQ(fluid_sweep_digest(resumed), full_digest);
+  EXPECT_EQ(fluid_sweep_digest(fluid_points(resumed)), full_digest);
 
   // The resumed journal now covers every point (the torn line's point and
   // the never-run ones were appended after the torn tail).
@@ -190,17 +212,16 @@ TEST(ResilientSweep, ResumeReusesJournaledBitsInsteadOfRecomputing) {
   FluidPointRecord sentinel;
   sentinel.point.fraction = opts.fractions[1];
   sentinel.point.throughput = 123.456;
-  std::map<std::string, JournalRecord> completed;
-  completed["sweep/1"] = to_journal_record("sweep", 1, sentinel);
+  auto policy = two_threads();
+  policy.completed["sweep/1"] = to_journal_record(sentinel);
+  policy.completed["sweep/1"].key = "sweep/1";
 
-  ResilientSweepOptions ropts;
-  ropts.sweep = opts;
-  ropts.completed = &completed;
-  const auto records = fluid_sweep_resilient(ft.topo, ropts);
+  const auto records = fluid_grid(ft.topo, opts, policy);
   ASSERT_EQ(records.size(), opts.fractions.size());
-  EXPECT_EQ(records[1].point.throughput, 123.456);
-  EXPECT_TRUE(records[1].status.ok());
-  EXPECT_NE(records[0].point.throughput, 0.0);
+  const auto restored = from_journal_record(records[1]);
+  EXPECT_EQ(restored.point.throughput, 123.456);
+  EXPECT_TRUE(restored.status.ok());
+  EXPECT_NE(from_journal_record(records[0]).point.throughput, 0.0);
 }
 
 // The acceptance scenario: a sweep over topology files where one file is
@@ -219,36 +240,31 @@ TEST(ResilientSweep, PoisonedGridPointJournalsOneInvalidInputRecord) {
 
   const std::string journal_path = temp_path("grid_journal.jsonl");
   std::remove(journal_path.c_str());
-  Journal journal;
-  ASSERT_TRUE(journal.open(journal_path).ok());
+  sweep::GridPolicy outer;
+  outer.threads = 2;
+  outer.key_prefix = "grid";
+  outer.journal = open_journal_at(journal_path);
 
   auto opts = small_sweep();
   opts.fractions = {0.5, 1.0};
-  const auto statuses = run_indexed_contained(
-      grid.size(),
-      [&](std::size_t i) -> Status {
-        const auto loaded = topo::load_topology(grid[i]);
-        JournalRecord rec;
-        rec.key = "grid/" + std::to_string(i);
-        if (!loaded.ok()) {
-          rec.code = loaded.status().code();
-          rec.message = loaded.status().message();
-          FLEXNETS_CHECK(journal.append(rec).ok(), "journal append failed");
-          return loaded.status();
-        }
-        const auto points = fluid_sweep(*loaded, opts);
-        rec.values = {{"digest",
-                       static_cast<double>(fluid_sweep_digest(points) >> 11)}};
-        FLEXNETS_CHECK(journal.append(rec).ok(), "journal append failed");
-        return Status();
-      },
-      2);
-  journal.close();
+  // Each point runs a whole fluid sweep of its own: the inner grid shares
+  // the outer grid's pool.
+  const auto result = sweep::run_grid(grid.size(), outer, [&](std::size_t i) {
+    const auto loaded = topo::load_topology(grid[i]);
+    if (!loaded.ok()) throw_status(loaded.status());
+    const auto points = plain_sweep(*loaded, opts);
+    JournalRecord rec;
+    rec.values = {{"digest",
+                   static_cast<double>(fluid_sweep_digest(points) >> 11)}};
+    return rec;
+  });
+  outer.journal->close();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
 
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_EQ(statuses[1].code(), StatusCode::kInvalidInput);
-  EXPECT_TRUE(statuses[2].ok());
+  ASSERT_EQ(result->records.size(), 3u);
+  EXPECT_TRUE(result->records[0].ok());
+  EXPECT_EQ(result->records[1].code, StatusCode::kInvalidInput);
+  EXPECT_TRUE(result->records[2].ok());
 
   const auto records = load_journal(journal_path);
   ASSERT_TRUE(records.ok());

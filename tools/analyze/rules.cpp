@@ -1,4 +1,4 @@
-// Ports of the seven lint_flexnets.py rules onto the token stream.
+// Ports of the seven rules of the old regex lint onto the token stream.
 //
 // Matching on tokens (not text lines) removes the regex lint's structural
 // blind spots: comments, string/char literals, and raw strings can no
@@ -79,7 +79,7 @@ const char* rule_message(const std::string& rule) {
   }
   if (rule == "raw-thread") {
     return "raw std::thread outside common/thread_pool; route parallel "
-           "work through ThreadPool / core::run_indexed (exception "
+           "work through ThreadPool / sweep::run_grid (exception "
            "propagation, drain-on-destruction, deterministic indexed "
            "scheduling)";
   }

@@ -1,15 +1,11 @@
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_commands.hpp"
 #include "core/fluid_runner.hpp"
-#include "core/journal.hpp"
-#include "flow/throughput.hpp"
-#include "sweep/coordinator.hpp"
-#include "sweep/worker.hpp"
+#include "sweep/grid.hpp"
 
 namespace flexnets::cli {
 
@@ -22,13 +18,6 @@ int cmd_fluid(const Args& args) {
   opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (opts.eps <= 0.0 || opts.eps > 0.5) {
     std::fprintf(stderr, "error: --eps must be in (0, 0.5]\n");
-    return 1;
-  }
-  // 0 = auto (FLEXNETS_THREADS env, else hardware concurrency). Same-seed
-  // results are bit-identical for every thread count.
-  opts.threads = static_cast<int>(args.get_int("threads", 0));
-  if (opts.threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0\n");
     return 1;
   }
 
@@ -73,109 +62,65 @@ int cmd_fluid(const Args& args) {
     return 1;
   }
 
-  // Sharding (src/sweep): --workers N runs the sweep across N worker
-  // subprocesses; --sweep-worker=fluid (internal) is this binary re-exec'ed
-  // as one of those workers, serving leases over fds 3/4 until shutdown.
-  const int workers = static_cast<int>(args.get_int("workers", 0));
-  const int max_attempts = static_cast<int>(args.get_int("max-attempts", 3));
-  if (workers < 0 || max_attempts < 1) {
+  // The grid policy (src/sweep/grid.hpp). --threads: in-process workers,
+  // 0 = auto (FLEXNETS_THREADS env, else hardware concurrency); same-seed
+  // results are bit-identical for every value. --workers N shards the
+  // sweep across N worker subprocesses; --sweep-worker=fluid (internal) is
+  // this binary re-exec'ed as one of them. --journal <path> appends each
+  // finished point durably; --resume <path> skips the points journaled
+  // there and keeps appending to it.
+  sweep::GridPolicy policy;
+  policy.key_prefix = "fluid";
+  policy.threads = static_cast<int>(args.get_int("threads", 0));
+  policy.workers = static_cast<int>(args.get_int("workers", 0));
+  policy.max_attempts = static_cast<int>(args.get_int("max-attempts", 3));
+  if (policy.threads < 0 || policy.workers < 0 || policy.max_attempts < 1) {
     std::fprintf(stderr,
-                 "error: --workers wants >= 0 and --max-attempts >= 1\n");
+                 "error: --threads and --workers want >= 0, --max-attempts "
+                 ">= 1\n");
     return 1;
   }
-  const auto worker_grid = args.get("sweep-worker", "");
-  if (!worker_grid.empty()) {
-    if (worker_grid != "fluid") {
-      std::fprintf(stderr, "error: unknown --sweep-worker grid '%s'\n",
-                   worker_grid.c_str());
-      return 2;
-    }
-    const auto cache = flow::build_throughput_cache(*t);
-    sweep::WorkerOptions wopts;
-    wopts.num_points = opts.fractions.size();
-    wopts.key_prefix = "fluid";
-    wopts.fn = [&](std::size_t i) {
-      return core::to_journal_record(
-          "fluid", i, core::fluid_sweep_point(*t, cache, opts, i));
-    };
-    return sweep::run_worker(wopts);
+  policy.args.push_back("fluid");
+  for (const auto& [k, v] : args.items()) {
+    policy.args.push_back(v.empty() ? "--" + k : "--" + k + "=" + v);
   }
-
-  // --journal <path>: append each finished point durably; --resume <path>:
-  // skip points already journaled there (and keep appending to it).
-  core::Journal journal;
-  std::map<std::string, core::JournalRecord> completed;
+  (void)args.get("sweep-worker", "");  // consumed by run_grid via args
   const auto resume_path = args.get("resume", "");
-  auto journal_path = args.get("journal", "");
-  if (!resume_path.empty()) {
-    const auto records = core::load_journal(resume_path);
-    if (!records.ok()) {
-      std::fprintf(stderr, "error: cannot resume: %s\n",
-                   records.status().to_string().c_str());
-      return 1;
-    }
-    completed = core::index_by_key(*records);
-    std::printf("resume: %zu journaled points in %s\n", completed.size(),
-                resume_path.c_str());
-    if (journal_path.empty()) journal_path = resume_path;
+  std::vector<std::string> resume_paths;
+  if (!resume_path.empty()) resume_paths.push_back(resume_path);
+  const auto st =
+      sweep::open_journal(args.get("journal", ""), resume_paths, &policy);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+    return 1;
   }
-  if (!journal_path.empty()) {
-    const auto st = journal.open(journal_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-      return 1;
-    }
+  if (!resume_path.empty()) {
+    std::printf("resume: %zu journaled points in %s\n",
+                policy.completed.size(), resume_path.c_str());
   }
 
-  std::vector<core::FluidPointRecord> records;
-  if (workers > 1) {
-    sweep::ShardedOptions sopts;
-    sopts.exec_path = "/proc/self/exe";
-    sopts.args.push_back("fluid");
-    for (const auto& [k, v] : args.items()) {
-      if (k == "workers" || k == "max-attempts" || k == "journal" ||
-          k == "resume" || k == "sweep-worker") {
-        continue;  // coordinator-only flags must not reach the worker
-      }
-      sopts.args.push_back(v.empty() ? "--" + k : "--" + k + "=" + v);
-    }
-    sopts.args.push_back("--sweep-worker=fluid");
-    sopts.workers = workers;
-    sopts.max_attempts = max_attempts;
-    sopts.journal = &journal;
-    sopts.completed = &completed;
-    sopts.key_prefix = "fluid";
-    auto sharded = sweep::run_sharded(opts.fractions.size(), sopts);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "error: sharded sweep failed: %s\n",
-                   sharded.status().to_string().c_str());
-      return 1;
-    }
-    std::printf(
-        "sharded fluid: %d workers | %zu computed, %zu restored, %zu "
-        "retries, %zu quarantined, %zu worker deaths\n",
-        workers, sharded->computed, sharded->restored, sharded->retries,
-        sharded->quarantined, sharded->worker_deaths);
-    records.reserve(sharded->records.size());
-    for (const auto& rec : sharded->records) {
-      records.push_back(core::from_journal_record(rec));
-    }
-  } else {
-    core::ResilientSweepOptions ropts;
-    ropts.sweep = opts;
-    ropts.journal = &journal;
-    ropts.completed = &completed;
-    ropts.key_prefix = "fluid";
-    records = core::fluid_sweep_resilient(*t, ropts);
+  auto result = sweep::run_fluid_grid({&*t}, opts, policy);
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: fluid sweep failed: %s\n",
+                 result.status().to_string().c_str());
+    return 1;
+  }
+  if (result->worker_exit) return *result->worker_exit;
+  if (policy.workers > 1) {
+    std::printf("%s\n", sweep::shard_summary(policy, *result).c_str());
   }
 
   std::printf("topology: %s | TM: %s | eps: %.3f\n", t->name.c_str(),
               tm.c_str(), opts.eps);
   std::printf("%-12s %-22s %s\n", "fraction", "per_server_throughput",
               "status");
+  std::vector<core::FluidPoint> points;
   std::size_t failed = 0;
-  for (const auto& r : records) {
-    std::printf("%-12.3f %-22.4f %s\n", r.point.fraction, r.point.throughput,
+  for (std::size_t i = 0; i < result->records.size(); ++i) {
+    const auto r = core::from_journal_record(result->records[i]);
+    points.push_back({opts.fractions[i], r.point.throughput});
+    std::printf("%-12.3f %-22.4f %s\n", points.back().fraction,
+                points.back().throughput,
                 r.status.ok() ? "ok" : r.status.to_string().c_str());
     if (!r.status.ok() &&
         r.status.code() != StatusCode::kBudgetExhausted) {
@@ -183,8 +128,8 @@ int cmd_fluid(const Args& args) {
     }
   }
   std::printf("digest fluid: %016llx (%zu points, %zu failed)\n",
-              static_cast<unsigned long long>(core::fluid_sweep_digest(records)),
-              records.size(), failed);
+              static_cast<unsigned long long>(core::fluid_sweep_digest(points)),
+              points.size(), failed);
   return failed == 0 ? 0 : 1;
 }
 
